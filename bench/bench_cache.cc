@@ -20,6 +20,7 @@
 
 #include <unistd.h>
 
+#include "bench_common.h"
 #include "st4ml.h"
 
 namespace st4ml {
@@ -135,7 +136,8 @@ void EmitRow(const char* label, uint64_t budget, size_t records,
             << ",\"cache_reload_bytes\":"
             << r.metrics[Counter::kCacheReloadBytes]
             << ",\"output_identical\":"
-            << (output_identical ? "true" : "false") << "}" << std::endl;
+            << (output_identical ? "true" : "false")
+            << "," << bench::HostJson() << "}" << std::endl;
   if (!output_identical) {
     std::cerr << "MISMATCH: budget " << label
               << " diverged from the uncached reference\n";

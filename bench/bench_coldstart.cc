@@ -27,6 +27,7 @@
 
 #include <unistd.h>
 
+#include "bench_common.h"
 #include "st4ml.h"
 
 namespace st4ml {
@@ -143,7 +144,8 @@ void EmitRow(const char* mode, size_t records, const ModeResult& r) {
             << ",\"planner_cached_index\":"
             << r.metrics[Counter::kPlannerCachedIndex]
             << ",\"planner_linear_scan\":"
-            << r.metrics[Counter::kPlannerLinearScan] << "}" << std::endl;
+            << r.metrics[Counter::kPlannerLinearScan]
+            << "," << bench::HostJson() << "}" << std::endl;
 }
 
 int Run(int argc, char** argv) {
@@ -202,7 +204,8 @@ int Run(int argc, char** argv) {
             << ",\"baseline_stpq_bytes_read\":" << baseline_bytes
             << ",\"mmap_stpq_bytes_read\":" << mmap_bytes
             << ",\"output_identical\":" << (identical ? "true" : "false")
-            << ",\"gated\":" << (gated ? "true" : "false") << "}"
+            << ",\"gated\":" << (gated ? "true" : "false")
+            << "," << bench::HostJson() << "}"
             << std::endl;
   fs::remove_all(dir);
 

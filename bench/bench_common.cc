@@ -3,12 +3,14 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <thread>
 
 #include "baselines/geomesa_like.h"
 #include "common/logging.h"
 #include "common/rng.h"
 #include "partition/str_partitioner.h"
 #include "selection/on_disk_index.h"
+#include "storage/json.h"
 
 namespace st4ml {
 namespace bench {
@@ -146,7 +148,51 @@ void BuildInMemoryStructures(BenchEnv* env) {
   env->road_cells = BufferedRoadCells(*env->air_network, 0.01, 400);
 }
 
+/// The first "model name" in /proc/cpuinfo; "unknown" when absent.
+std::string CpuModel() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("model name", 0) != 0) continue;
+    size_t colon = line.find(':');
+    if (colon == std::string::npos) break;
+    size_t start = line.find_first_not_of(" \t", colon + 1);
+    return start == std::string::npos ? "unknown" : line.substr(start);
+  }
+  return "unknown";
+}
+
+/// Commit of the source tree this binary was built from, read at run time
+/// (a configure-time sha goes stale as soon as the tree moves on).
+std::string GitCommit() {
+  FILE* pipe = ::popen("git -C '" ST4ML_SOURCE_DIR
+                       "' describe --always --dirty --abbrev=12 "
+                       "--exclude='*' 2>/dev/null",
+                       "r");
+  if (pipe == nullptr) return "unknown";
+  char buf[128] = {};
+  std::string out;
+  if (std::fgets(buf, sizeof(buf), pipe) != nullptr) out = buf;
+  ::pclose(pipe);
+  while (!out.empty() && (out.back() == '\n' || out.back() == ' ')) {
+    out.pop_back();
+  }
+  return out.empty() ? "unknown" : out;
+}
+
 }  // namespace
+
+const std::string& HostJson() {
+  static const std::string json = [] {
+    std::string build = ST4ML_BUILD_TYPE;
+    return "\"host\":{\"hw_threads\":" +
+           std::to_string(std::thread::hardware_concurrency()) +
+           ",\"cpu\":" + JsonQuote(CpuModel()) +
+           ",\"build_type\":" + JsonQuote(build.empty() ? "none" : build) +
+           ",\"git_sha\":" + JsonQuote(GitCommit()) + "}";
+  }();
+  return json;
+}
 
 const BenchEnv& GetBenchEnv() {
   static BenchEnv* env = [] {

@@ -90,6 +90,13 @@ std::string FmtCount(uint64_t n);
 std::string FmtRatio(double r);
 std::string FmtMb(uint64_t bytes);
 
+/// The `"host":{...}` member every BENCH_*.json row carries, so a number
+/// names the machine and build that produced it: hardware threads, CPU
+/// model, CMake build type, and the git commit of the source tree (with a
+/// "-dirty" suffix when tracked files had uncommitted changes). Computed
+/// once per process.
+const std::string& HostJson();
+
 /// Times `fn` once and returns seconds (bench runs are deterministic, and
 /// the paper reports totals over query batches anyway).
 double TimeIt(const std::function<void()>& fn);

@@ -32,6 +32,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_common.h"
 #include "st4ml.h"
 
 namespace st4ml {
@@ -282,21 +283,24 @@ int Run(int argc, char** argv) {
             << ",\"records_per_sec\":" << throughput.records_per_sec
             << ",\"concurrent_selects\":" << throughput.selects_run
             << ",\"final_count\":" << throughput.final_count
-            << ",\"compactions\":" << throughput.compactions << "}"
+            << ",\"compactions\":" << throughput.compactions
+            << "," << bench::HostJson() << "}"
             << std::endl;
 
   RecoveryResult recovery = RunRecovery(std::max<size_t>(records / 10, 2000));
   std::cout << "{\"mode\":\"recovery\",\"reported_acks\":"
             << recovery.reported_acks
             << ",\"replayed\":" << recovery.replayed
-            << ",\"recovered_total\":" << recovery.recovered_total << "}"
+            << ",\"recovered_total\":" << recovery.recovered_total
+            << "," << bench::HostJson() << "}"
             << std::endl;
 
   bool rate_ok = throughput.records_per_sec >= kGateRecordsPerSec;
   std::cout << "{\"mode\":\"summary\",\"records\":" << records
             << ",\"records_per_sec\":" << throughput.records_per_sec
             << ",\"rate_gate\":" << (rate_ok ? "true" : "false")
-            << ",\"recovery_gate\":true}" << std::endl;
+            << ",\"recovery_gate\":true,"
+            << bench::HostJson() << "}" << std::endl;
   if (!rate_ok) {
     std::cerr << "bench_ingest: sustained append "
               << throughput.records_per_sec << " records/sec is below the "

@@ -24,6 +24,7 @@
 #include <utility>
 #include <vector>
 
+#include "bench_common.h"
 #include "st4ml.h"
 
 namespace st4ml {
@@ -115,7 +116,7 @@ void EmitRow(const Run& run, size_t records, size_t parts, double mp1_seconds,
             << ",\"shuffle_net_bytes\":" << run.shuffle_net_bytes
             << ",\"checksum\":\"" << std::hex << run.checksum << std::dec
             << "\",\"checksum_identical\":" << (identical ? "true" : "false")
-            << "}" << std::endl;
+            << "," << bench::HostJson() << "}" << std::endl;
   if (!identical) {
     std::cerr << "MISMATCH: " << run.executor
               << " output diverged from the local executor\n";
@@ -168,7 +169,8 @@ int Run(int argc, char** argv) {
             << ",\"hardware_threads\":" << cores
             << ",\"mp4_speedup\":" << mp4_speedup << ",\"threshold\":1.6"
             << ",\"enforced\":" << (gated ? "true" : "false")
-            << ",\"pass\":" << (pass ? "true" : "false") << "}" << std::endl;
+            << ",\"pass\":" << (pass ? "true" : "false")
+            << "," << bench::HostJson() << "}" << std::endl;
   if (!pass) {
     std::cerr << "GATE FAILED: mp:4 speedup " << mp4_speedup
               << " < 1.6 over mp:1\n";

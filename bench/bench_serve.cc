@@ -27,6 +27,7 @@
 
 #include <unistd.h>
 
+#include "bench_common.h"
 #include "st4ml.h"
 #include "server/client.h"
 #include "server/json.h"
@@ -231,7 +232,8 @@ int Run(int argc, char** argv) {
             << ",\"count\":" << cold_ref.count
             << ",\"elapsed_us\":" << best_cold_us
             << ",\"cache_misses\":" << cold_ref.cache_misses
-            << ",\"stpq_bytes_read\":" << cold_ref.stpq_bytes_read << "}"
+            << ",\"stpq_bytes_read\":" << cold_ref.stpq_bytes_read
+            << "," << bench::HostJson() << "}"
             << std::endl;
   std::cout << "{\"phase\":\"warm\",\"records\":" << records
             << ",\"count\":" << warm_ref.count
@@ -240,12 +242,14 @@ int Run(int argc, char** argv) {
             << ",\"stpq_bytes_read\":" << warm_ref.stpq_bytes_read
             << ",\"speedup_vs_cold\":" << speedup
             << ",\"min_speedup\":" << min_speedup
-            << ",\"gate_ok\":" << (gate_ok ? "true" : "false") << "}"
+            << ",\"gate_ok\":" << (gate_ok ? "true" : "false")
+            << "," << bench::HostJson() << "}"
             << std::endl;
   std::cout << "{\"phase\":\"warm_concurrent\",\"clients\":" << kClients
             << ",\"requests\":" << kClients * kRequestsPerClient
             << ",\"wall_us\":" << concurrent_wall_us
-            << ",\"per_request_us\":" << per_request_us << ",\"all_ok\":true}"
+            << ",\"per_request_us\":" << per_request_us << ",\"all_ok\":true,"
+            << bench::HostJson() << "}"
             << std::endl;
 
   if (!gate_ok) {

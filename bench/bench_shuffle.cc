@@ -18,6 +18,7 @@
 #include <utility>
 #include <vector>
 
+#include "bench_common.h"
 #include "st4ml.h"
 
 namespace st4ml {
@@ -189,7 +190,8 @@ void EmitRow(const std::string& op, size_t records, size_t parts,
             << ",\"output_identical\":"
             << (output_identical ? "true" : "false")
             << ",\"metrics_identical\":"
-            << (metrics_identical ? "true" : "false") << "}" << std::endl;
+            << (metrics_identical ? "true" : "false")
+            << "," << bench::HostJson() << "}" << std::endl;
   if (!output_identical || !metrics_identical) {
     std::cerr << "MISMATCH: " << op << " records=" << records
               << " parts=" << parts << "\n";

@@ -22,6 +22,7 @@
 
 #include <unistd.h>
 
+#include "bench_common.h"
 #include "st4ml.h"
 
 namespace st4ml {
@@ -91,7 +92,7 @@ void EmitKernelRow(const char* kernel, const char* backend, size_t records,
             << (seconds > 0 ? static_cast<double>(records) / seconds : 0)
             << ",\"speedup_vs_scalar\":" << speedup
             << ",\"output_identical\":" << (identical ? "true" : "false")
-            << "}" << std::endl;
+            << "," << bench::HostJson() << "}" << std::endl;
   if (!identical) {
     std::cerr << "MISMATCH: kernel " << kernel << " backend " << backend
               << " diverged from scalar\n";
@@ -279,7 +280,7 @@ int Run(int argc, char** argv) {
               << ",\"seconds\":" << warm_seconds
               << ",\"speedup_vs_scalar\":" << speedup
               << ",\"output_identical\":" << (identical ? "true" : "false")
-              << "}" << std::endl;
+              << "," << bench::HostJson() << "}" << std::endl;
     if (!identical) {
       std::cerr << "MISMATCH: warm select under backend " << backend->name()
                 << " changed the selected output\n";
@@ -301,7 +302,7 @@ int Run(int argc, char** argv) {
             << (has_simd ? "true" : "false")
             << ",\"enforced\":" << (gated ? "true" : "false") << ",\"pass\":"
             << (!gated || best_simd_filter_speedup >= 2.0 ? "true" : "false")
-            << "}" << std::endl;
+            << "," << bench::HostJson() << "}" << std::endl;
   if (gated && best_simd_filter_speedup < 2.0) {
     std::cerr << "GATE FAILED: best SIMD box filter speedup "
               << best_simd_filter_speedup << " < 2.0\n";

@@ -7,18 +7,26 @@ namespace st4ml {
 Status FaultInjector::MaybeFail(const char* site, const std::string& detail) {
   if (!armed_.load(std::memory_order_acquire)) return Status::Ok();
   bool fire = false;
+  std::function<void()> action;
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = sites_.find(site);
     if (it == sites_.end()) return Status::Ok();
     SiteState& state = it->second;
-    if (state.fail_next > 0) {
+    if (state.run_next) {
+      action = std::move(state.run_next);
+      state.run_next = nullptr;
+    } else if (state.fail_next > 0) {
       --state.fail_next;
       fire = true;
     } else if (state.probability > 0.0 &&
                state.rng.Uniform(0.0, 1.0) < state.probability) {
       fire = true;
     }
+  }
+  if (action) {
+    action();
+    return Status::Ok();
   }
   if (!fire) return Status::Ok();
   injected_.fetch_add(1, std::memory_order_relaxed);
@@ -30,6 +38,13 @@ Status FaultInjector::MaybeFail(const char* site, const std::string& detail) {
 void FaultInjector::FailNext(const std::string& site, int times) {
   std::lock_guard<std::mutex> lock(mu_);
   sites_[site].fail_next = times;
+  armed_.store(true, std::memory_order_release);
+}
+
+void FaultInjector::RunOnNext(const std::string& site,
+                              std::function<void()> action) {
+  std::lock_guard<std::mutex> lock(mu_);
+  sites_[site].run_next = std::move(action);
   armed_.store(true, std::memory_order_release);
 }
 

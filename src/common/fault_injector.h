@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <mutex>
 #include <string>
 #include <unordered_map>
@@ -30,6 +31,9 @@ inline constexpr const char* kWalAppend = "wal/append";
 /// Checked at the start of a segment seal (fsync + rename): a fired fault
 /// leaves the segment `.open`, still replayable.
 inline constexpr const char* kWalSeal = "wal/seal";
+/// Checked on entry to ReadWalSegment — a fired fault fails that one
+/// segment read with an IOError.
+inline constexpr const char* kWalRead = "wal/read";
 /// Checked at the start of a compaction cycle: a fired fault leaves every
 /// sealed segment in place for the next cycle to retry.
 inline constexpr const char* kIngestCompact = "ingest/compact";
@@ -69,6 +73,12 @@ class FaultInjector {
   /// Scripted mode: the next `times` MaybeFail calls at `site` fail.
   void FailNext(const std::string& site, int times);
 
+  /// Scripted interleaving: the next MaybeFail call at `site` runs `action`
+  /// on the calling thread (outside the injector's lock) and returns OK.
+  /// Pins a race deterministically, e.g. a segment sealed between a
+  /// directory listing and the read of a listed path.
+  void RunOnNext(const std::string& site, std::function<void()> action);
+
   /// Probabilistic mode: each MaybeFail at `site` fails with probability
   /// `probability`, deterministically derived from `seed`.
   void ArmProbabilistic(const std::string& site, double probability,
@@ -85,6 +95,7 @@ class FaultInjector {
  private:
   struct SiteState {
     int fail_next = 0;
+    std::function<void()> run_next;
     double probability = 0.0;
     Rng rng{0};
   };

@@ -6,7 +6,6 @@
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <map>
 #include <set>
@@ -64,11 +63,7 @@ bool RemoveFileChecked(const std::string& path) {
 /// always the SEALED name. A parked `.open` straggler drops its suffix so
 /// Recover and SelectIngest (which both compare sealed names) find it.
 std::string ConsumedName(const std::string& path) {
-  std::string name = fs::path(path).filename().string();
-  if (EndsWith(name, kWalOpenSuffix)) {
-    name.resize(name.size() - std::strlen(kWalOpenSuffix));
-  }
-  return name;
+  return fs::path(WalSealedPath(path)).filename().string();
 }
 
 }  // namespace
@@ -167,11 +162,8 @@ Status Ingestor::Recover() {
   // read tolerantly, truncated past its last complete frame, and re-sealed.
   uint64_t replayed = 0;
   for (const std::string& path : ListWalSegments(wal_dir_)) {
-    std::string name = fs::path(path).filename().string();
-    bool is_open = EndsWith(name, kWalOpenSuffix);
-    std::string sealed_name =
-        is_open ? name.substr(0, name.size() - std::strlen(kWalOpenSuffix))
-                : name;
+    bool is_open = EndsWith(path, kWalOpenSuffix);
+    std::string sealed_name = ConsumedName(path);
     // Reserve the sequence number BEFORE any skip: even a consumed or
     // headerless segment's name must never be minted again.
     uint64_t seq = 0;

@@ -191,6 +191,8 @@ Status WalWriter::Seal() {
 }
 
 StatusOr<WalReadResult> ReadWalSegment(const std::string& path, bool strict) {
+  ST4ML_RETURN_IF_ERROR(
+      GlobalFaultInjector().MaybeFail(fault_site::kWalRead, path));
   std::ifstream in(path, std::ios::binary);
   if (!in.is_open()) return Status::NotFound("no such wal segment: " + path);
   char header[kWalHeaderBytes];
@@ -258,6 +260,15 @@ StatusOr<WalReadResult> ReadWalSegment(const std::string& path, bool strict) {
     result.good_bytes += kWalFrameOverhead + payload_len;
   }
   return result;
+}
+
+std::string WalSealedPath(const std::string& path) {
+  const size_t suffix = std::strlen(kWalOpenSuffix);
+  if (path.size() > suffix &&
+      path.compare(path.size() - suffix, suffix, kWalOpenSuffix) == 0) {
+    return path.substr(0, path.size() - suffix);
+  }
+  return path;
 }
 
 std::vector<std::string> ListWalSegments(const std::string& wal_dir) {

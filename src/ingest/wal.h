@@ -124,8 +124,13 @@ struct WalReadResult {
 /// crash between creating the file and flushing its header leaves — is
 /// Corruption when strict, but in tolerant mode it is one fully-torn empty
 /// segment (`torn_tail=true`, `good_bytes=0`) so recovery can clean it up
-/// instead of refusing to open the directory.
+/// instead of refusing to open the directory. Fires the wal/read fault site
+/// first.
 StatusOr<WalReadResult> ReadWalSegment(const std::string& path, bool strict);
+
+/// The path a segment is published under once sealed: an active `.open`
+/// path loses its suffix, a sealed path comes back unchanged.
+std::string WalSealedPath(const std::string& path);
 
 /// Paths of every WAL segment directly inside `wal_dir` — sealed `.stwal`
 /// first, then active `.stwal.open`, each group sorted by name (names embed

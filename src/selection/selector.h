@@ -258,15 +258,20 @@ class Selector {
     std::vector<std::string> consumed(manifest.consumed);
     std::sort(consumed.begin(), consumed.end());
     for (const std::string& segment : segments) {
-      std::string name = std::filesystem::path(segment).filename().string();
       // A consumed segment's records already live in a listed partition;
       // its not-yet-deleted file must not be double counted. An active
-      // `.open` segment is consulted under its sealed name too, in case a
-      // rename committed between the listing and this check.
-      if (name.size() > 5 && name.compare(name.size() - 5, 5, ".open") == 0) {
-        name.resize(name.size() - 5);
-      }
-      if (!std::binary_search(consumed.begin(), consumed.end(), name)) {
+      // `.open` segment is checked under its sealed name, in case a rename
+      // committed between the listing and this check. A rename during the
+      // listing can also surface one segment under both names: the sealed
+      // entry alone is read.
+      std::string sealed = WalSealedPath(segment);
+      std::string name = std::filesystem::path(sealed).filename().string();
+      bool listed_sealed =
+          sealed != segment &&
+          std::find(segments.begin(), segments.end(), sealed) !=
+              segments.end();
+      if (!listed_sealed &&
+          !std::binary_search(consumed.begin(), consumed.end(), name)) {
         paths.push_back(segment);
       }
     }
@@ -339,6 +344,16 @@ class Selector {
           // the only incomplete frame a segment can legally carry is the
           // in-flight tail — unacked by definition, so correct to exclude.
           auto result = ReadWalSegment(paths[i], /*strict=*/false);
+          const std::string sealed = WalSealedPath(paths[i]);
+          if (!result.ok() &&
+              result.status().code() == Status::Code::kNotFound &&
+              sealed != paths[i]) {
+            // The appender sealed this `.open` segment after the listing.
+            // The rename kept every frame, and consumed files are deleted
+            // one cycle late under the exclusive snapshot lock, so the
+            // sealed name is still there while the reader holds it shared.
+            result = ReadWalSegment(sealed, /*strict=*/false);
+          }
           if (!result.ok()) return result.status();
           out.read_bytes = result->good_bytes;
           out.file_read = 1;

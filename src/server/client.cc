@@ -29,6 +29,11 @@ StatusOr<Client> Client::Connect(int port) {
     ::close(fd);
     return status;
   }
+  Status nodelay = SetTcpNoDelay(fd);
+  if (!nodelay.ok()) {
+    ::close(fd);
+    return nodelay;
+  }
   Client client;
   client.fd_ = fd;
   return client;

@@ -1,6 +1,9 @@
 #include "server/frame.h"
 
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -11,22 +14,6 @@ namespace st4ml {
 namespace server {
 
 namespace {
-
-/// MSG_NOSIGNAL: a peer that hung up before its response must surface as an
-/// EPIPE IOError on this one connection, not raise SIGPIPE and kill the
-/// whole daemon.
-Status WriteAll(int fd, const char* data, size_t size) {
-  size_t written = 0;
-  while (written < size) {
-    ssize_t n = ::send(fd, data + written, size - written, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::IOError(std::string("send: ") + std::strerror(errno));
-    }
-    written += static_cast<size_t>(n);
-  }
-  return Status::Ok();
-}
 
 /// Reads exactly `size` bytes. *eof is set when the peer closed before the
 /// first byte (only meaningful on error return).
@@ -59,8 +46,37 @@ Status WriteFrame(int fd, const std::string& payload) {
                     static_cast<char>((len >> 16) & 0xFF),
                     static_cast<char>((len >> 8) & 0xFF),
                     static_cast<char>(len & 0xFF)};
-  ST4ML_RETURN_IF_ERROR(WriteAll(fd, prefix, sizeof(prefix)));
-  return WriteAll(fd, payload.data(), payload.size());
+  // Prefix and payload leave in ONE gather write (DESIGN.md §10): a prefix
+  // sent alone is a small unacknowledged segment, and Nagle would hold the
+  // payload behind it until the peer's delayed ACK, ~40 ms later.
+  iovec iov[2] = {{prefix, sizeof(prefix)},
+                  {const_cast<char*>(payload.data()), payload.size()}};
+  msghdr msg{};
+  msg.msg_iov = iov;
+  msg.msg_iovlen = 2;
+  while (msg.msg_iovlen > 0) {
+    // MSG_NOSIGNAL: a peer that hung up before its response must surface as
+    // an EPIPE IOError on this one connection, not raise SIGPIPE and kill
+    // the whole daemon.
+    ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return Status::IOError(std::string("sendmsg: ") + std::strerror(errno));
+    }
+    // Partial write: skip the iovecs sent in full, then advance into the
+    // first one sent in part. The payload itself is never copied.
+    size_t sent = static_cast<size_t>(n);
+    while (msg.msg_iovlen > 0 && sent >= msg.msg_iov->iov_len) {
+      sent -= msg.msg_iov->iov_len;
+      ++msg.msg_iov;
+      --msg.msg_iovlen;
+    }
+    if (msg.msg_iovlen > 0) {
+      msg.msg_iov->iov_base = static_cast<char*>(msg.msg_iov->iov_base) + sent;
+      msg.msg_iov->iov_len -= sent;
+    }
+  }
+  return Status::Ok();
 }
 
 StatusOr<std::string> ReadFrame(int fd, size_t max_bytes) {
@@ -88,6 +104,15 @@ StatusOr<std::string> ReadFrame(int fd, size_t max_bytes) {
     ST4ML_RETURN_IF_ERROR(ReadAll(fd, payload.data(), len, &eof));
   }
   return payload;
+}
+
+Status SetTcpNoDelay(int fd) {
+  int one = 1;
+  if (::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one)) != 0) {
+    return Status::IOError(std::string("setsockopt(TCP_NODELAY): ") +
+                           std::strerror(errno));
+  }
+  return Status::Ok();
 }
 
 }  // namespace server

@@ -15,8 +15,9 @@ namespace server {
 /// scanning, no partial-JSON buffering — and makes oversized requests
 /// rejectable before a single payload byte is parsed.
 
-/// Writes one frame (length prefix + payload) to `fd`, looping over partial
-/// writes and EINTR. IOError on any write failure or peer reset.
+/// Writes one frame (length prefix + payload) to `fd` as one gather write,
+/// looping over partial writes and EINTR. IOError on any write failure or
+/// peer reset; a closed peer is EPIPE, never SIGPIPE.
 Status WriteFrame(int fd, const std::string& payload);
 
 /// Reads one complete frame from `fd`.
@@ -28,6 +29,11 @@ Status WriteFrame(int fd, const std::string& payload);
 ///     reading the payload, so a hostile 4 GiB prefix cannot make the
 ///     server allocate.
 StatusOr<std::string> ReadFrame(int fd, size_t max_bytes);
+
+/// Disables Nagle on a connected TCP socket. Every st4mld socket, client
+/// and server side, sets it: the protocol is request/response, so a held
+/// segment waits on the peer's delayed ACK instead of on more data.
+Status SetTcpNoDelay(int fd);
 
 }  // namespace server
 }  // namespace st4ml

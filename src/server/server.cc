@@ -205,6 +205,13 @@ void Server::AcceptLoop() {
       }
       return;
     }
+    // Every accepted socket, the shed one included, answers without Nagle
+    // (DESIGN.md §10). One that cannot be configured is dropped like a
+    // failed accept rather than served behind a 40 ms stall.
+    if (!SetTcpNoDelay(fd).ok()) {
+      ::close(fd);
+      continue;
+    }
     // Each accept doubles as the reap point for handler threads that
     // finished since the last one — a churny daemon stays at O(live
     // connections) threads instead of one per connection ever served.

@@ -349,6 +349,51 @@ TEST_F(IngestTest, WalSegmentsScannedCounterCountsStagedServes) {
   EXPECT_EQ(ctx2->MetricsSnapshot()[Counter::kWalSegmentsScanned], 0u);
 }
 
+// The merged read lists the active `.open` segment, then the appender
+// seals it (renames it) before the read. The wal/read hook runs that seal,
+// and a compaction, at exactly that point: the read must fall back to the
+// sealed name and still count every acked record once.
+TEST_F(IngestTest, SegmentSealedBetweenListingAndReadIsReadOnce) {
+  auto ingestor = Ingestor::Open(dir_, ScriptedOptions());
+  ASSERT_TRUE(ingestor.ok());
+  std::multiset<int64_t> expected;
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE((*ingestor)->Append(MakeEvent(i, i)).ok());
+    expected.insert(i);
+  }
+  ASSERT_EQ(ListWalSegments((*ingestor)->wal_dir()).size(), 1u);
+  bool sealed = false;
+  GlobalFaultInjector().RunOnNext(fault_site::kWalRead, [&] {
+    sealed = (*ingestor)->Flush().ok();
+  });
+  auto ctx = ExecutionContext::Create(2);
+  Selector<EventRecord> selector(
+      ctx, SelectQuery::FromBox(
+               STBox(Mbr(-1e9, -1e9, 1e9, 1e9), Duration(-1000, 1000))));
+  auto selected = selector.SelectIngest(dir_);
+  ASSERT_TRUE(sealed);
+  ASSERT_TRUE(selected.ok()) << selected.status().ToString();
+  EXPECT_EQ(Ids(selected->Collect()), expected);
+  // The compacted view serves the same records, still once each.
+  EXPECT_EQ(Ids(SelectAll(dir_)), expected);
+}
+
+// A rename during the directory listing can surface one segment under both
+// names; the merged read must count its records once, not twice.
+TEST_F(IngestTest, SegmentListedUnderBothNamesIsReadOnce) {
+  auto ingestor = Ingestor::Open(dir_, ScriptedOptions());
+  ASSERT_TRUE(ingestor.ok());
+  std::multiset<int64_t> expected;
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE((*ingestor)->Append(MakeEvent(i, i)).ok());
+    expected.insert(i);
+  }
+  std::vector<std::string> segments = ListWalSegments((*ingestor)->wal_dir());
+  ASSERT_EQ(segments.size(), 1u);
+  fs::create_hard_link(segments[0], WalSealedPath(segments[0]));
+  EXPECT_EQ(Ids(SelectAll(dir_)), expected);
+}
+
 TEST_F(IngestTest, EmptyIngestDirectorySelectsEmpty) {
   auto ingestor = Ingestor::Open(dir_, ScriptedOptions());
   ASSERT_TRUE(ingestor.ok());

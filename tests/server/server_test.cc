@@ -160,6 +160,27 @@ TEST(ServerTest, PingStatsAndValidation) {
   EXPECT_GE(stats.GetInt("backend_fallback_records", -1), 0);
 }
 
+// One write per frame and TCP_NODELAY on both ends (DESIGN.md §10): a
+// sequential ping loop over one connection is bounded by the server's own
+// work, not by Nagle holding each payload until the peer's ~40 ms delayed
+// ACK. With that stall 200 pings take at least 8 s; without it each one is
+// well under a millisecond, so the 2 s budget holds under sanitizers too.
+TEST(ServerTest, SequentialRoundTripsDoNotWaitOnDelayedAcks) {
+  Daemon daemon;
+  Client client = daemon.Connect();
+  constexpr int kPings = 200;
+  auto start = std::chrono::steady_clock::now();
+  for (int i = 0; i < kPings; ++i) {
+    auto response = client.Call(R"({"verb":"ping"})");
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+  }
+  auto elapsed_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                        std::chrono::steady_clock::now() - start)
+                        .count();
+  EXPECT_LT(elapsed_ms, 2000)
+      << kPings << " sequential pings took " << elapsed_ms << " ms";
+}
+
 TEST(ServerTest, ProtocolErrorsKeepTheConnectionUsable) {
   Daemon daemon;
   Client client = daemon.Connect();
