@@ -163,8 +163,7 @@ class Dataset {
   /// moved out instead of copied. Shared partitions still copy.
   std::vector<T> Collect() && {
     std::vector<T> out;
-    if (!parts_) return out;
-    if (parts_.use_count() != 1) return static_cast<const Dataset&>(*this).Collect();
+    if (!sole_owner()) return static_cast<const Dataset&>(*this).Collect();
     out.reserve(Count());
     auto& parts = const_cast<Partitions&>(*parts_);
     for (auto& part : parts) {
@@ -172,6 +171,13 @@ class Dataset {
                  std::make_move_iterator(part.end()));
     }
     return out;
+  }
+
+  /// True when this handle alone owns its partitions: a consumer holding an
+  /// expiring handle may then move records out instead of copying them
+  /// (TrySTPartition), as the && spellings here do.
+  bool sole_owner() const {
+    return parts_ != nullptr && parts_.use_count() == 1;
   }
 
   size_t Count() const {
@@ -223,8 +229,7 @@ class Dataset {
   /// of the source partitions they are consumed by the shuffle, so records
   /// move instead of copy.
   Dataset<T> Repartition(size_t num_partitions) && {
-    return RepartitionImpl(num_partitions, parts_ != nullptr &&
-                                               parts_.use_count() == 1);
+    return RepartitionImpl(num_partitions, sole_owner());
   }
 
  private:

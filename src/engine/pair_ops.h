@@ -227,9 +227,8 @@ struct WireCodec<st4ml::internal::MapShuffleResult<K, V>,
 /// sorted; unordered keys take a std::unordered_map path whose insertion
 /// sequence replicates the rescan's exactly.
 ///
-/// Failure contract: the Try* spelling surfaces a failing task (a throwing
-/// reducer, an injected engine fault) as a Status; the legacy spelling
-/// wraps it and throws the equivalent StatusError on the driver.
+/// Failure contract: a failing task (a throwing reducer, an injected engine
+/// fault) surfaces as a Status; nothing throws.
 template <typename K, typename V, typename Reduce,
           typename Hash = std::hash<K>>
 StatusOr<Dataset<std::pair<K, V>>> TryReduceByKey(
@@ -341,17 +340,6 @@ StatusOr<Dataset<std::pair<K, V>>> TryReduceByKey(
   ST4ML_RETURN_IF_ERROR(mp::RunDistributed<MergeResult>(
       *ctx, "reduce_by_key/merge", n, merge_task, merge_store));
   return Dataset<std::pair<K, V>>::FromPartitions(ctx, std::move(out));
-}
-
-/// Legacy value-returning spelling: throws StatusError on failure.
-template <typename K, typename V, typename Reduce,
-          typename Hash = std::hash<K>>
-[[deprecated("use TryReduceByKey: Status-returning, never throws")]]
-Dataset<std::pair<K, V>> ReduceByKey(const Dataset<std::pair<K, V>>& ds,
-                                     Reduce reduce) {
-  auto result = TryReduceByKey<K, V, Reduce, Hash>(ds, reduce);
-  if (!result.ok()) throw StatusError(result.status());
-  return std::move(result).value();
 }
 
 /// Spark's groupByKey: EVERY record crosses the shuffle — the expensive
@@ -467,16 +455,6 @@ StatusOr<Dataset<std::pair<K, std::vector<V>>>> TryGroupByKey(
       *ctx, "group_by_key/merge", n, merge_task, merge_store));
   return Dataset<std::pair<K, std::vector<V>>>::FromPartitions(ctx,
                                                                std::move(out));
-}
-
-/// Legacy value-returning spelling: throws StatusError on failure.
-template <typename K, typename V, typename Hash = std::hash<K>>
-[[deprecated("use TryGroupByKey: Status-returning, never throws")]]
-Dataset<std::pair<K, std::vector<V>>> GroupByKey(
-    const Dataset<std::pair<K, V>>& ds) {
-  auto result = TryGroupByKey<K, V, Hash>(ds);
-  if (!result.ok()) throw StatusError(result.status());
-  return std::move(result).value();
 }
 
 }  // namespace st4ml

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 
 #include "common/logging.h"
@@ -18,16 +19,59 @@ int64_t CenterT(const STBox& b) {
   return b.time.start() / 2 + b.time.end() / 2;
 }
 
-/// `count - 1` equal-count cuts of a sorted value list.
-template <typename V>
-std::vector<V> QuantileCuts(std::vector<V> sorted, int count) {
-  std::vector<V> cuts;
-  if (sorted.empty() || count <= 1) return cuts;
-  cuts.reserve(count - 1);
+/// Order-preserving unsigned images of the center keys. For doubles this
+/// is the IEEE total order, so a NaN center (an empty trajectory's
+/// envelope) gets a place at an end instead of breaking the comparator;
+/// on ordinary values it orders exactly like `<`.
+uint64_t OrderKey(double v) {
+  uint64_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return (bits >> 63) != 0 ? ~bits : bits | (uint64_t{1} << 63);
+}
+uint64_t OrderKey(int64_t v) {
+  return static_cast<uint64_t>(v) ^ (uint64_t{1} << 63);
+}
+
+/// Ranks of the `count - 1` equal-count cuts of `n` ordered elements: the
+/// k-th cut is the element at rank n*k/count. None for n == 0.
+std::vector<size_t> CutRanks(size_t n, int count) {
+  std::vector<size_t> ranks;
+  if (n == 0 || count <= 1) return ranks;
+  ranks.reserve(static_cast<size_t>(count - 1));
   for (int k = 1; k < count; ++k) {
-    size_t idx = sorted.size() * static_cast<size_t>(k) / count;
-    cuts.push_back(sorted[idx]);
+    ranks.push_back(n * static_cast<size_t>(k) / static_cast<size_t>(count));
   }
+  return ranks;
+}
+
+/// Places the element of every rank in `ranks` (ascending) at its sorted
+/// position, and everything between two consecutive ranks between them —
+/// exactly the equal-count groups a full sort would produce, for
+/// O(n log k) instead of O(n log n). Recursive std::nth_element on the
+/// middle rank. Keys are unique (scan index breaks ties), so the group of
+/// every element is fully determined, whatever nth_element's internals.
+void MultiSelect(RankedKey* first, RankedKey* last, const size_t* rank_lo,
+                 const size_t* rank_hi, size_t base) {
+  if (rank_lo == rank_hi || first == last) return;
+  const size_t* mid = rank_lo + (rank_hi - rank_lo) / 2;
+  RankedKey* nth = first + (*mid - base);
+  std::nth_element(first, nth, last);
+  MultiSelect(first, nth, rank_lo, std::lower_bound(rank_lo, mid, *mid), base);
+  MultiSelect(nth + 1, last, std::upper_bound(mid, rank_hi, *mid), rank_hi,
+              *mid + 1);
+}
+
+/// The equal-count cut values of `keyed` (whose elements are rearranged
+/// into their rank groups): `value_of(scan index)` of each cut rank.
+template <typename V, typename ValueFn>
+std::vector<V> SelectCuts(std::vector<RankedKey>* keyed, int count,
+                          ValueFn value_of) {
+  std::vector<size_t> ranks = CutRanks(keyed->size(), count);
+  MultiSelect(keyed->data(), keyed->data() + keyed->size(), ranks.data(),
+              ranks.data() + ranks.size(), 0);
+  std::vector<V> cuts;
+  cuts.reserve(ranks.size());
+  for (size_t r : ranks) cuts.push_back(value_of((*keyed)[r].index));
   return cuts;
 }
 
@@ -46,48 +90,55 @@ int StrTiling::TileOf(double x, double y) const {
 void StrTiling::IntersectingTiles(const Mbr& mbr, int base,
                                   std::vector<int>* out) const {
   constexpr double kInf = std::numeric_limits<double>::infinity();
-  for (int slab = 0; slab < gx; ++slab) {
+  // Trained on fewer centers than tiles, a slab (or the tiling) has fewer
+  // cuts than its shape: the last trained slab or tile extends to infinity
+  // and the untrained ones stay empty, exactly as TileOf sees them.
+  int slabs = std::min(gx, static_cast<int>(x_splits.size()) + 1);
+  for (int slab = 0; slab < slabs; ++slab) {
     double x_lo = slab == 0 ? -kInf : x_splits[slab - 1];
-    double x_hi = slab == gx - 1 ? kInf : x_splits[slab];
+    double x_hi = slab == slabs - 1 ? kInf : x_splits[slab];
     if (mbr.x_min > x_hi || mbr.x_max < x_lo) continue;
     const std::vector<double>& cuts = y_splits[slab];
-    for (int tile = 0; tile < gy; ++tile) {
+    int tiles = std::min(gy, static_cast<int>(cuts.size()) + 1);
+    for (int tile = 0; tile < tiles; ++tile) {
       double y_lo = tile == 0 ? -kInf : cuts[tile - 1];
-      double y_hi = tile == gy - 1 ? kInf : cuts[tile];
+      double y_hi = tile == tiles - 1 ? kInf : cuts[tile];
       if (mbr.y_min > y_hi || mbr.y_max < y_lo) continue;
       out->push_back(base + slab * gy + tile);
     }
   }
 }
 
-StrTiling BuildStrTiling(const std::vector<const STBox*>& boxes, int gx,
+StrTiling BuildStrTiling(const std::vector<STBox>& boxes,
+                         const RankedKey* members, size_t count, int gx,
                          int gy) {
   StrTiling tiling;
   tiling.gx = gx;
   tiling.gy = gy;
+  auto x_of = [&](uint64_t i) { return CenterX(boxes[i]); };
+  auto y_of = [&](uint64_t i) { return CenterY(boxes[i]); };
 
-  std::vector<double> xs;
-  xs.reserve(boxes.size());
-  for (const STBox* b : boxes) xs.push_back(CenterX(*b));
-  std::sort(xs.begin(), xs.end());
-  tiling.x_splits = QuantileCuts(xs, gx);
+  std::vector<RankedKey> by_x(count);
+  for (size_t i = 0; i < count; ++i) {
+    uint64_t scan = members[i].index;
+    by_x[i] = RankedKey{OrderKey(x_of(scan)), scan};
+  }
+  tiling.x_splits = SelectCuts<double>(&by_x, gx, x_of);
 
-  // Slab membership by sort rank (not by re-applying the cuts): ties on the
-  // cut value do not matter for split QUALITY, only for balance, and ranks
+  // Slab membership by rank (not by re-applying the cuts): ties on the cut
+  // value do not matter for split QUALITY, only for balance, and ranks
   // keep the per-slab counts exactly even.
-  std::vector<const STBox*> by_x = boxes;
-  std::sort(by_x.begin(), by_x.end(), [](const STBox* a, const STBox* b) {
-    return CenterX(*a) < CenterX(*b);
-  });
   tiling.y_splits.resize(gx);
+  std::vector<RankedKey> by_y;
   for (int slab = 0; slab < gx; ++slab) {
-    size_t lo = by_x.size() * static_cast<size_t>(slab) / gx;
-    size_t hi = by_x.size() * static_cast<size_t>(slab + 1) / gx;
-    std::vector<double> ys;
-    ys.reserve(hi - lo);
-    for (size_t i = lo; i < hi; ++i) ys.push_back(CenterY(*by_x[i]));
-    std::sort(ys.begin(), ys.end());
-    tiling.y_splits[slab] = QuantileCuts(ys, gy);
+    size_t lo = count * static_cast<size_t>(slab) / gx;
+    size_t hi = count * static_cast<size_t>(slab + 1) / gx;
+    by_y.clear();
+    for (size_t i = lo; i < hi; ++i) {
+      uint64_t scan = by_x[i].index;
+      by_y.push_back(RankedKey{OrderKey(y_of(scan)), scan});
+    }
+    tiling.y_splits[slab] = SelectCuts<double>(&by_y, gy, y_of);
   }
   return tiling;
 }
@@ -113,12 +164,12 @@ STRPartitioner::STRPartitioner(int num_partitions) {
 }
 
 void STRPartitioner::Train(const std::vector<STBox>& boxes) {
-  std::vector<const STBox*> ptrs;
-  ptrs.reserve(boxes.size());
-  for (const STBox& b : boxes) ptrs.push_back(&b);
+  std::vector<partition_internal::RankedKey> all(boxes.size());
+  for (size_t i = 0; i < boxes.size(); ++i) all[i].index = i;
   int gx = tiling_.gx;
   int gy = tiling_.gy;
-  tiling_ = partition_internal::BuildStrTiling(ptrs, gx, gy);
+  tiling_ = partition_internal::BuildStrTiling(boxes, all.data(), all.size(),
+                                               gx, gy);
 }
 
 std::vector<int> STRPartitioner::Assign(const STBox& box, bool duplicate,
@@ -148,32 +199,24 @@ TSTRPartitioner::TSTRPartitioner(int temporal_slices, int spatial_tiles)
 }
 
 void TSTRPartitioner::Train(const std::vector<STBox>& boxes) {
-  std::vector<int64_t> ts;
-  ts.reserve(boxes.size());
-  for (const STBox& b : boxes) ts.push_back(partition_internal::CenterT(b));
-  std::sort(ts.begin(), ts.end());
-  t_splits_.clear();
-  for (int k = 1; k < temporal_slices_; ++k) {
-    if (ts.empty()) break;
-    t_splits_.push_back(ts[ts.size() * static_cast<size_t>(k) /
-                           temporal_slices_]);
+  using partition_internal::CenterT;
+  using partition_internal::RankedKey;
+  std::vector<RankedKey> by_t(boxes.size());
+  for (size_t i = 0; i < boxes.size(); ++i) {
+    by_t[i] = RankedKey{partition_internal::OrderKey(CenterT(boxes[i])), i};
   }
+  t_splits_ = partition_internal::SelectCuts<int64_t>(
+      &by_t, temporal_slices_, [&](uint64_t i) { return CenterT(boxes[i]); });
 
   // Slice membership by time-center rank, then an independent 2-d STR
   // tiling per slice — this is what lets spatial boundaries adapt to where
   // the data actually was during each time slice.
-  std::vector<const STBox*> by_t;
-  by_t.reserve(boxes.size());
-  for (const STBox& b : boxes) by_t.push_back(&b);
-  std::sort(by_t.begin(), by_t.end(), [](const STBox* a, const STBox* b) {
-    return partition_internal::CenterT(*a) < partition_internal::CenterT(*b);
-  });
   tilings_.assign(temporal_slices_, partition_internal::StrTiling{});
   for (int s = 0; s < temporal_slices_; ++s) {
     size_t lo = by_t.size() * static_cast<size_t>(s) / temporal_slices_;
     size_t hi = by_t.size() * static_cast<size_t>(s + 1) / temporal_slices_;
-    std::vector<const STBox*> slice(by_t.begin() + lo, by_t.begin() + hi);
-    tilings_[s] = partition_internal::BuildStrTiling(slice, gsx_, gsy_);
+    tilings_[s] = partition_internal::BuildStrTiling(boxes, by_t.data() + lo,
+                                                     hi - lo, gsx_, gsy_);
   }
 }
 
@@ -191,10 +234,14 @@ std::vector<int> TSTRPartitioner::Assign(const STBox& box, bool duplicate,
   }
   constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
   constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  // Like StrTiling::IntersectingTiles: a slicing trained on fewer centers
+  // than slices leaves the untrained slices empty.
+  int slices =
+      std::min(temporal_slices_, static_cast<int>(t_splits_.size()) + 1);
   std::vector<int> out;
-  for (int s = 0; s < temporal_slices_; ++s) {
+  for (int s = 0; s < slices; ++s) {
     int64_t t_lo = s == 0 ? kMin : t_splits_[s - 1];
-    int64_t t_hi = s == temporal_slices_ - 1 ? kMax : t_splits_[s];
+    int64_t t_hi = s == slices - 1 ? kMax : t_splits_[s];
     if (box.time.start() > t_hi || box.time.end() < t_lo) continue;
     tilings_[s].IntersectingTiles(box.mbr, s * tiles_per_slice_, &out);
   }

@@ -30,8 +30,25 @@ struct StrTiling {
   void IntersectingTiles(const Mbr& mbr, int base, std::vector<int>* out) const;
 };
 
-/// Builds the tiling from envelope centers by equal-count quantiles.
-StrTiling BuildStrTiling(const std::vector<const STBox*>& boxes, int gx,
+/// One element of a rank selection: an order-preserving image of a center
+/// coordinate plus the record's scan index (its position in the training
+/// boxes), which breaks ties. Keys are therefore unique, and the
+/// equal-count groups are the stable order's, independent of the selection
+/// algorithm.
+struct RankedKey {
+  uint64_t key = 0;
+  uint64_t index = 0;
+
+  bool operator<(const RankedKey& other) const {
+    return key != other.key ? key < other.key : index < other.index;
+  }
+};
+
+/// Builds the tiling of `boxes[members[i].index]`, i < count, from envelope
+/// centers by equal-count quantiles placed with rank selection (no full
+/// sort); the cut values are the centers at ranks n*k/g.
+StrTiling BuildStrTiling(const std::vector<STBox>& boxes,
+                         const RankedKey* members, size_t count, int gx,
                          int gy);
 
 }  // namespace partition_internal

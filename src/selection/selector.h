@@ -197,13 +197,6 @@ class Selector {
         query_(std::move(query)),
         options_(std::move(options)) {}
 
-  /// Legacy spelling, predating SelectQuery: a bare ST box.
-  [[deprecated("construct with a SelectQuery (SelectQuery::FromBox)")]]
-  Selector(std::shared_ptr<ExecutionContext> ctx, const STBox& query,
-           SelectorOptions options = {})
-      : Selector(std::move(ctx), SelectQuery::FromBox(query),
-                 std::move(options)) {}
-
   /// Full scan of every STPQ file in `dir`.
   StatusOr<Dataset<RecordT>> Select(const std::string& dir) {
     std::vector<std::string> paths = ListStpqFiles(dir);
@@ -497,7 +490,7 @@ class Selector {
     auto selected = Dataset<RecordT>::FromPartitions(ctx_, std::move(parts));
     if (options_.partitioner != nullptr && options_.partition_after_select) {
       auto partitioned = TrySTPartition(
-          selected, options_.partitioner.get(),
+          std::move(selected), options_.partitioner.get(),
           [](const RecordT& r) { return r.ComputeSTBox(); },
           [](const RecordT& r) { return static_cast<uint64_t>(r.id); });
       if (!partitioned.ok()) return partitioned.status();

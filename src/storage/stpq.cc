@@ -1,12 +1,19 @@
 #include "storage/stpq.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <type_traits>
+#include <utility>
 
 #include "common/fault_injector.h"
 #include "storage/atomic_publish.h"
@@ -26,12 +33,6 @@ constexpr uint64_t kTrajPointBytes = 8 + 8 + 8;
 template <typename T>
 void WriteRaw(std::ofstream& out, const T& value) {
   out.write(reinterpret_cast<const char*>(&value), sizeof(value));
-}
-
-template <typename T>
-bool ReadRaw(std::ifstream& in, T* value) {
-  in.read(reinterpret_cast<char*>(value), sizeof(*value));
-  return in.gcount() == static_cast<std::streamsize>(sizeof(*value));
 }
 
 // Writers stage under `<path>.tmp` and only FinishWrite publishes the
@@ -83,66 +84,140 @@ Status FinishWrite(std::ofstream& out, const std::string& path,
   return Status::Ok();
 }
 
-Status CheckHeader(std::ifstream& in, const std::string& path,
-                   uint8_t expected_kind, uint64_t* count) {
-  char magic[sizeof(kStpqMagic)];
-  in.read(magic, sizeof(magic));
-  if (in.gcount() != static_cast<std::streamsize>(sizeof(magic)) ||
-      std::memcmp(magic, kStpqMagic, sizeof(magic)) != 0) {
+// Reads up to `size` bytes at `offset` with pread, retrying EINTR and short
+// reads; `*got` falls short of `size` only at end of file.
+Status PreadFull(int fd, uint64_t offset, size_t size, char* buf, size_t* got,
+                 const std::string& path) {
+  *got = 0;
+  while (*got < size) {
+    ssize_t n = ::pread(fd, buf + *got, size - *got,
+                        static_cast<off_t>(offset + *got));
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return Status::IOError("read failed in " + path);
+    }
+    if (n == 0) break;
+    *got += static_cast<size_t>(n);
+  }
+  return Status::Ok();
+}
+
+// The kind tag of a header prefix, after checking the magic.
+StatusOr<uint8_t> ParseKind(const char* data, size_t size,
+                            const std::string& path) {
+  if (size < sizeof(kStpqMagic) ||
+      std::memcmp(data, kStpqMagic, sizeof(kStpqMagic)) != 0) {
     return Status::Corruption("bad STPQ magic in " + path);
   }
-  uint8_t kind = 0;
-  if (!ReadRaw(in, &kind)) {
+  if (size < sizeof(kStpqMagic) + 1) {
     return Status::Corruption("truncated STPQ header in " + path);
   }
-  if (kind != expected_kind) {
+  return static_cast<uint8_t>(data[sizeof(kStpqMagic)]);
+}
+
+Status CheckHeader(const char* data, size_t size, const std::string& path,
+                   uint8_t expected_kind, uint64_t* count) {
+  auto kind = ParseKind(data, size, path);
+  if (!kind.ok()) return kind.status();
+  if (*kind != expected_kind) {
     return Status::Corruption("STPQ record kind mismatch in " + path);
   }
-  if (!ReadRaw(in, count)) {
+  if (size < kStpqHeaderBytes) {
     return Status::Corruption("truncated STPQ header in " + path);
   }
+  std::memcpy(count, data + sizeof(kStpqMagic) + 1, sizeof(*count));
   return Status::Ok();
 }
 
-// Per-record parsers shared by the full readers and StpqReader's ranged
-// reads, so both paths apply identical bounds checks. `file_bytes` caps the
-// untrusted length fields (overflow-safe: compared, never multiplied).
-Status ReadOneEvent(std::ifstream& in, uint64_t file_bytes,
-                    const std::string& path, EventRecord* r) {
-  uint32_t len = 0;
-  if (!ReadRaw(in, &r->id) || !ReadRaw(in, &r->x) || !ReadRaw(in, &r->y) ||
-      !ReadRaw(in, &r->time) || !ReadRaw(in, &len)) {
-    return Status::Corruption("truncated STPQ record in " + path);
-  }
-  if (static_cast<uint64_t>(len) > file_bytes) {
-    return Status::Corruption("implausible attr length in " + path);
-  }
-  r->attr.resize(len);
-  in.read(r->attr.data(), len);
-  if (in.gcount() != static_cast<std::streamsize>(len)) {
-    return Status::Corruption("truncated STPQ record in " + path);
-  }
-  return Status::Ok();
-}
+// The one STPQ record decoder, behind the full readers and StpqReader's
+// ranged reads alike (a full read is one ranged read). It walks one
+// in-memory byte run and never reads past its end: a field that would is a
+// truncation. `file_bytes` caps the untrusted length fields (overflow-safe:
+// compared, never multiplied).
+class RecordCursor {
+ public:
+  RecordCursor(const char* data, size_t size, uint64_t file_bytes,
+               const std::string& path)
+      : pos_(data), end_(data + size), file_bytes_(file_bytes), path_(path) {}
 
-Status ReadOneTraj(std::ifstream& in, uint64_t file_bytes,
-                   const std::string& path, TrajRecord* r) {
-  uint64_t n = 0;
-  if (!ReadRaw(in, &r->id) || !ReadRaw(in, &n)) {
-    return Status::Corruption("truncated STPQ record in " + path);
-  }
-  // `n * 24 > file_bytes` wraps for n near 2^64 and the following
-  // resize(n) would throw; divide instead of multiply.
-  if (n > file_bytes / kTrajPointBytes) {
-    return Status::Corruption("implausible point count in " + path);
-  }
-  r->points.resize(static_cast<size_t>(n));
-  for (TrajPointRecord& p : r->points) {
-    if (!ReadRaw(in, &p.x) || !ReadRaw(in, &p.y) || !ReadRaw(in, &p.time)) {
-      return Status::Corruption("truncated STPQ record in " + path);
+  size_t remaining() const { return static_cast<size_t>(end_ - pos_); }
+
+  Status Next(EventRecord* r) {
+    uint32_t len = 0;
+    if (!Take(&r->id) || !Take(&r->x) || !Take(&r->y) || !Take(&r->time) ||
+        !Take(&len)) {
+      return Truncated();
     }
+    if (static_cast<uint64_t>(len) > file_bytes_) {
+      return Status::Corruption("implausible attr length in " + path_);
+    }
+    if (len > remaining()) return Truncated();
+    r->attr.assign(pos_, len);
+    pos_ += len;
+    return Status::Ok();
   }
-  return Status::Ok();
+
+  Status Next(TrajRecord* r) {
+    uint64_t n = 0;
+    if (!Take(&r->id) || !Take(&n)) return Truncated();
+    // `n * 24 > file_bytes` wraps for n near 2^64 and the following
+    // resize(n) would throw; divide instead of multiply.
+    if (n > file_bytes_ / kTrajPointBytes) {
+      return Status::Corruption("implausible point count in " + path_);
+    }
+    if (n > remaining() / kTrajPointBytes) return Truncated();
+    // The on-disk point is the in-memory point (x, y, time, native-endian),
+    // so the whole array copies in one go.
+    static_assert(sizeof(TrajPointRecord) == kTrajPointBytes &&
+                  std::is_trivially_copyable_v<TrajPointRecord>);
+    r->points.resize(static_cast<size_t>(n));
+    size_t bytes = static_cast<size_t>(n) * kTrajPointBytes;
+    // An empty vector's data() may be null, which memcpy must not get.
+    if (bytes != 0) std::memcpy(r->points.data(), pos_, bytes);
+    pos_ += bytes;
+    return Status::Ok();
+  }
+
+ private:
+  template <typename T>
+  bool Take(T* value) {
+    if (remaining() < sizeof(T)) return false;
+    std::memcpy(value, pos_, sizeof(T));
+    pos_ += sizeof(T);
+    return true;
+  }
+
+  Status Truncated() const {
+    return Status::Corruption("truncated STPQ record in " + path_);
+  }
+
+  const char* pos_;
+  const char* end_;
+  uint64_t file_bytes_;
+  const std::string& path_;
+};
+
+// The full readers: the whole record area is one ranged read, so a file
+// with bytes after its last record is Corruption too.
+template <typename RecordT>
+StatusOr<std::vector<RecordT>> ReadWholeStpq(const std::string& path,
+                                             uint8_t kind,
+                                             uint64_t min_record_bytes,
+                                             uint64_t* io_bytes) {
+  auto reader = StpqReader::Open(path, kind);
+  if (!reader.ok()) return reader.status();
+  if (io_bytes != nullptr) *io_bytes += reader->file_bytes();
+  std::vector<RecordT> records;
+  // The header count is untrusted until every record deserializes; clamp
+  // the reserve to what the file could possibly hold so a corrupt count
+  // cannot trigger a giant allocation. The record loop still walks the full
+  // claimed count and reports the truncation.
+  records.reserve(static_cast<size_t>(std::min(
+      reader->record_count(), reader->file_bytes() / min_record_bytes)));
+  ST4ML_RETURN_IF_ERROR(reader->ReadRecordsAt(
+      kStpqHeaderBytes, reader->file_bytes(), reader->record_count(),
+      &records));
+  return records;
 }
 
 }  // namespace
@@ -185,65 +260,26 @@ Status WriteStpqFile(const std::string& path,
 
 StatusOr<std::vector<EventRecord>> ReadStpqEvents(const std::string& path,
                                                   uint64_t* io_bytes) {
-  ST4ML_RETURN_IF_ERROR(
-      GlobalFaultInjector().MaybeFail(fault_site::kStpqRead, path));
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) return Status::NotFound("no such STPQ file: " + path);
-  uint64_t count = 0;
-  ST4ML_RETURN_IF_ERROR(CheckHeader(in, path, kStpqKindEvent, &count));
-  uint64_t file_bytes = FileSizeBytes(path);
-  if (io_bytes != nullptr) *io_bytes += file_bytes;
-  std::vector<EventRecord> records;
-  // The header count is untrusted until every record deserializes; clamp
-  // the reserve to what the file could possibly hold so a corrupt count
-  // cannot trigger a giant allocation. The record loop still walks the full
-  // claimed count and reports the truncation.
-  records.reserve(static_cast<size_t>(
-      std::min(count, file_bytes / kMinEventRecordBytes)));
-  for (uint64_t i = 0; i < count; ++i) {
-    EventRecord r;
-    ST4ML_RETURN_IF_ERROR(ReadOneEvent(in, file_bytes, path, &r));
-    records.push_back(std::move(r));
-  }
-  return records;
+  return ReadWholeStpq<EventRecord>(path, kStpqKindEvent, kMinEventRecordBytes,
+                                    io_bytes);
 }
 
 StatusOr<std::vector<TrajRecord>> ReadStpqTrajs(const std::string& path,
                                                 uint64_t* io_bytes) {
-  ST4ML_RETURN_IF_ERROR(
-      GlobalFaultInjector().MaybeFail(fault_site::kStpqRead, path));
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) return Status::NotFound("no such STPQ file: " + path);
-  uint64_t count = 0;
-  ST4ML_RETURN_IF_ERROR(CheckHeader(in, path, kStpqKindTraj, &count));
-  uint64_t file_bytes = FileSizeBytes(path);
-  if (io_bytes != nullptr) *io_bytes += file_bytes;
-  std::vector<TrajRecord> records;
-  // Same untrusted-header clamp as the event reader.
-  records.reserve(static_cast<size_t>(
-      std::min(count, file_bytes / kMinTrajRecordBytes)));
-  for (uint64_t i = 0; i < count; ++i) {
-    TrajRecord r;
-    ST4ML_RETURN_IF_ERROR(ReadOneTraj(in, file_bytes, path, &r));
-    records.push_back(std::move(r));
-  }
-  return records;
+  return ReadWholeStpq<TrajRecord>(path, kStpqKindTraj, kMinTrajRecordBytes,
+                                   io_bytes);
 }
 
 StatusOr<uint8_t> ReadStpqKind(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) return Status::NotFound("no such STPQ file: " + path);
-  char magic[sizeof(kStpqMagic)];
-  in.read(magic, sizeof(magic));
-  if (in.gcount() != static_cast<std::streamsize>(sizeof(magic)) ||
-      std::memcmp(magic, kStpqMagic, sizeof(magic)) != 0) {
-    return Status::Corruption("bad STPQ magic in " + path);
-  }
-  uint8_t kind = 0;
-  if (!ReadRaw(in, &kind)) {
-    return Status::Corruption("truncated STPQ header in " + path);
-  }
-  if (kind != kStpqKindEvent && kind != kStpqKindTraj) {
+  int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return Status::NotFound("no such STPQ file: " + path);
+  char head[sizeof(kStpqMagic) + 1];
+  size_t got = 0;
+  Status read = PreadFull(fd, 0, sizeof(head), head, &got, path);
+  ::close(fd);
+  ST4ML_RETURN_IF_ERROR(read);
+  auto kind = ParseKind(head, got, path);
+  if (kind.ok() && *kind != kStpqKindEvent && *kind != kStpqKindTraj) {
     return Status::Corruption("unknown STPQ record kind in " + path);
   }
   return kind;
@@ -255,15 +291,42 @@ StatusOr<StpqReader> StpqReader::Open(const std::string& path,
       GlobalFaultInjector().MaybeFail(fault_site::kStpqRead, path));
   StpqReader reader;
   reader.path_ = path;
-  reader.in_.open(path, std::ios::binary);
-  if (!reader.in_.is_open()) {
-    return Status::NotFound("no such STPQ file: " + path);
+  reader.fd_ = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (reader.fd_ < 0) return Status::NotFound("no such STPQ file: " + path);
+  struct stat st;
+  if (::fstat(reader.fd_, &st) != 0) {
+    return Status::IOError("cannot stat " + path);
   }
+  char head[kStpqHeaderBytes];
+  size_t got = 0;
   ST4ML_RETURN_IF_ERROR(
-      CheckHeader(reader.in_, path, expected_kind, &reader.record_count_));
-  reader.file_bytes_ = FileSizeBytes(path);
+      PreadFull(reader.fd_, 0, sizeof(head), head, &got, path));
+  ST4ML_RETURN_IF_ERROR(
+      CheckHeader(head, got, path, expected_kind, &reader.record_count_));
+  reader.file_bytes_ = static_cast<uint64_t>(st.st_size);
   reader.bytes_read_ = kStpqHeaderBytes;
   return reader;
+}
+
+StpqReader::StpqReader(StpqReader&& other) noexcept {
+  *this = std::move(other);
+}
+
+StpqReader& StpqReader::operator=(StpqReader&& other) noexcept {
+  if (this != &other) {
+    if (fd_ >= 0) ::close(fd_);
+    fd_ = std::exchange(other.fd_, -1);
+    path_ = std::move(other.path_);
+    file_bytes_ = other.file_bytes_;
+    record_count_ = other.record_count_;
+    bytes_read_ = other.bytes_read_;
+    buf_ = std::move(other.buf_);
+  }
+  return *this;
+}
+
+StpqReader::~StpqReader() {
+  if (fd_ >= 0) ::close(fd_);
 }
 
 Status StpqReader::CheckRange(uint64_t offset, uint64_t end_offset) const {
@@ -274,46 +337,38 @@ Status StpqReader::CheckRange(uint64_t offset, uint64_t end_offset) const {
   return Status::Ok();
 }
 
-Status StpqReader::ReadEventsAt(uint64_t offset, uint64_t end_offset,
-                                uint64_t count,
-                                std::vector<EventRecord>* out) {
+template <typename RecordT>
+Status StpqReader::ReadRecordsAt(uint64_t offset, uint64_t end_offset,
+                                 uint64_t count, std::vector<RecordT>* out) {
   ST4ML_RETURN_IF_ERROR(CheckRange(offset, end_offset));
-  in_.clear();
-  in_.seekg(static_cast<std::streamoff>(offset));
-  if (!in_.good()) return Status::IOError("seek failed in " + path_);
+  size_t size = static_cast<size_t>(end_offset - offset);
+  if (buf_.size() < size) buf_.resize(size);
+  size_t got = 0;
+  ST4ML_RETURN_IF_ERROR(
+      PreadFull(fd_, offset, size, buf_.data(), &got, path_));
+  // A file truncated since Open ends the run early.
+  if (got != size) {
+    return Status::Corruption("short read of record range in " + path_);
+  }
+  RecordCursor cur(buf_.data(), size, file_bytes_, path_);
   for (uint64_t i = 0; i < count; ++i) {
-    EventRecord r;
-    ST4ML_RETURN_IF_ERROR(ReadOneEvent(in_, file_bytes_, path_, &r));
+    RecordT r;
+    ST4ML_RETURN_IF_ERROR(cur.Next(&r));
     out->push_back(std::move(r));
   }
   // The records must consume EXACTLY the promised run: a sidecar whose
   // offsets disagree with the file is corruption, not silently wrong data.
-  std::streamoff pos = static_cast<std::streamoff>(in_.tellg());
-  if (pos < 0 || static_cast<uint64_t>(pos) != end_offset) {
+  if (cur.remaining() != 0) {
     return Status::Corruption("record range mismatch in " + path_);
   }
-  bytes_read_ += end_offset - offset;
+  bytes_read_ += size;
   return Status::Ok();
 }
 
-Status StpqReader::ReadTrajsAt(uint64_t offset, uint64_t end_offset,
-                               uint64_t count, std::vector<TrajRecord>* out) {
-  ST4ML_RETURN_IF_ERROR(CheckRange(offset, end_offset));
-  in_.clear();
-  in_.seekg(static_cast<std::streamoff>(offset));
-  if (!in_.good()) return Status::IOError("seek failed in " + path_);
-  for (uint64_t i = 0; i < count; ++i) {
-    TrajRecord r;
-    ST4ML_RETURN_IF_ERROR(ReadOneTraj(in_, file_bytes_, path_, &r));
-    out->push_back(std::move(r));
-  }
-  std::streamoff pos = static_cast<std::streamoff>(in_.tellg());
-  if (pos < 0 || static_cast<uint64_t>(pos) != end_offset) {
-    return Status::Corruption("record range mismatch in " + path_);
-  }
-  bytes_read_ += end_offset - offset;
-  return Status::Ok();
-}
+template Status StpqReader::ReadRecordsAt(uint64_t, uint64_t, uint64_t,
+                                          std::vector<EventRecord>*);
+template Status StpqReader::ReadRecordsAt(uint64_t, uint64_t, uint64_t,
+                                          std::vector<TrajRecord>*);
 
 std::vector<std::string> ListStpqFiles(const std::string& dir) {
   std::vector<std::string> files;

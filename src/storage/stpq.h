@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <filesystem>
-#include <fstream>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -81,37 +80,31 @@ StatusOr<std::vector<RecordT>> ReadStpqFile(const std::string& path,
 /// then ReadRecordsAt parses exactly the records inside one
 /// [offset, end_offset) byte run — the unit the mmap'd `.stix` sidecar
 /// resolves leaf hits into — so a cold indexed selection reads only the
-/// bytes of matching records instead of the whole file. Offsets come from
-/// the sidecar's record-offset table; ReadRecordsAt re-verifies that the
-/// parsed records consume EXACTLY the promised byte run, so a sidecar that
-/// disagrees with its file surfaces as Corruption, never as silently wrong
-/// records. bytes_read() accounts the header plus every run's bytes, the
-/// same currency as the full readers' io_bytes.
+/// bytes of matching records instead of the whole file. Each run is ONE
+/// pread into a reader-owned buffer, parsed in memory by the same record
+/// decoder as the full readers; the parse never looks outside the run.
+/// Offsets come from the sidecar's record-offset table; ReadRecordsAt
+/// re-verifies that the parsed records consume EXACTLY the promised byte
+/// run, so a sidecar that disagrees with its file (or a file truncated
+/// under the reader) surfaces as Corruption, never as silently wrong
+/// records. A descriptor, not a mapping: a file truncated under an mmap
+/// raises SIGBUS instead of a Status. bytes_read() accounts the header plus
+/// every run's bytes, the same currency as the full readers' io_bytes.
 class StpqReader {
  public:
   static StatusOr<StpqReader> Open(const std::string& path,
                                    uint8_t expected_kind);
 
   StpqReader() = default;
-  StpqReader(StpqReader&&) = default;
-  StpqReader& operator=(StpqReader&&) = default;
+  StpqReader(StpqReader&& other) noexcept;
+  StpqReader& operator=(StpqReader&& other) noexcept;
+  ~StpqReader();
 
-  Status ReadEventsAt(uint64_t offset, uint64_t end_offset, uint64_t count,
-                      std::vector<EventRecord>* out);
-  Status ReadTrajsAt(uint64_t offset, uint64_t end_offset, uint64_t count,
-                     std::vector<TrajRecord>* out);
-
+  /// Appends the `count` records of one run to `out`. Defined for
+  /// EventRecord and TrajRecord, the two record kinds STPQ stores.
   template <typename RecordT>
   Status ReadRecordsAt(uint64_t offset, uint64_t end_offset, uint64_t count,
-                       std::vector<RecordT>* out) {
-    if constexpr (std::is_same_v<RecordT, EventRecord>) {
-      return ReadEventsAt(offset, end_offset, count, out);
-    } else {
-      static_assert(std::is_same_v<RecordT, TrajRecord>,
-                    "STPQ stores EventRecord or TrajRecord");
-      return ReadTrajsAt(offset, end_offset, count, out);
-    }
-  }
+                       std::vector<RecordT>* out);
 
   /// The header's record count (untrusted until records deserialize).
   uint64_t record_count() const { return record_count_; }
@@ -122,8 +115,9 @@ class StpqReader {
  private:
   Status CheckRange(uint64_t offset, uint64_t end_offset) const;
 
-  std::ifstream in_;
+  int fd_ = -1;
   std::string path_;
+  std::vector<char> buf_;  // one run's bytes, reused across runs
   uint64_t file_bytes_ = 0;
   uint64_t record_count_ = 0;
   uint64_t bytes_read_ = 0;

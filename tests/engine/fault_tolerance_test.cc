@@ -153,24 +153,6 @@ TEST_F(FaultToleranceTest, TryReduceByKeyPropagatesThrowingReducer) {
   EXPECT_EQ(result.status().code(), Status::Code::kInternal);
 }
 
-TEST_F(FaultToleranceTest, LegacyReduceByKeyThrowsStatusError) {
-  auto ctx = ExecutionContext::Create(4);
-  std::vector<std::pair<int, int>> pairs;
-  for (int i = 0; i < 100; ++i) pairs.emplace_back(i % 5, 1);
-  auto data = Dataset<std::pair<int, int>>::Parallelize(ctx, pairs, 4);
-  auto call = [&] {
-    // This test pins the deprecated wrapper's throwing contract, so it is
-    // the one caller allowed to keep using it.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-    ReduceByKey<int, int>(data, [](int, int) -> int {
-      throw std::runtime_error("down");
-    });
-#pragma GCC diagnostic pop
-  };
-  EXPECT_THROW(call(), StatusError);
-}
-
 TEST_F(FaultToleranceTest, TrySTPartitionRejectsNullPartitioner) {
   auto ctx = ExecutionContext::Create(2);
   auto data = Dataset<EventRecord>::Parallelize(

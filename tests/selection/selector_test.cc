@@ -184,19 +184,6 @@ TEST_F(SelectorTest, EmptyIdSetMatchesNothing) {
   }
 }
 
-TEST_F(SelectorTest, DeprecatedBoxConstructorStillSelects) {
-  // The legacy STBox spelling must keep working (and agreeing with the
-  // SelectQuery one) until its callers are gone for good.
-  STBox query(Mbr(10, 10, 40, 40), Duration(0, 50000));
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  Selector<EventRecord> legacy(ctx_, query);
-#pragma GCC diagnostic pop
-  auto selected = legacy.Select(dir_, meta_);
-  ASSERT_TRUE(selected.ok());
-  EXPECT_EQ(SortedIds(*selected), ReferenceIds(events_, query));
-}
-
 TEST_F(SelectorTest, RtreeRefineMatchesLinearRefine) {
   STBox query(Mbr(20, 20, 60, 60), Duration(10000, 80000));
   SelectorOptions with_tree;

@@ -315,6 +315,131 @@ TEST(StpqCorruptionTest, RangedReadRejectsRunPastEof) {
   EXPECT_EQ(past.code(), Status::Code::kCorruption);
 }
 
+TEST(StpqCorruptionTest, RangedReadRunEndingInsideARecordIsCorruption) {
+  std::string dir = TempDir("rangecut");
+  std::string path = dir + "/part.stpq";
+  auto events = SomeEvents(4);
+  ASSERT_TRUE(WriteStpqFile(path, events).ok());
+  uint64_t two = StpqRecordBytes(events[0]) + StpqRecordBytes(events[1]);
+  for (uint64_t cut : {uint64_t{1}, uint64_t{3}, uint64_t{9}}) {
+    auto reader = StpqReader::Open(path, kStpqKindEvent);
+    ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+    std::vector<EventRecord> out;
+    Status st = reader->ReadRecordsAt(kStpqHeaderBytes,
+                                      kStpqHeaderBytes + two - cut, 2, &out);
+    ASSERT_FALSE(st.ok()) << "cut=" << cut;
+    EXPECT_EQ(st.code(), Status::Code::kCorruption) << "cut=" << cut;
+  }
+}
+
+TrajRecord SomeTraj(int64_t id, int points) {
+  TrajRecord t;
+  t.id = id;
+  for (int i = 0; i < points; ++i) {
+    t.points.push_back(TrajPointRecord{1.0 * i, 2.0 * i, 10 * i});
+  }
+  return t;
+}
+
+TEST(StpqCorruptionTest, RangedTrajRunWithTrailingBytesIsCorruption) {
+  std::string dir = TempDir("rangetrail");
+  std::string path = dir + "/part.stpq";
+  std::vector<TrajRecord> trajs = {SomeTraj(1, 3), SomeTraj(2, 5)};
+  ASSERT_TRUE(WriteStpqFile(path, trajs).ok());
+  auto reader = StpqReader::Open(path, kStpqKindTraj);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  std::vector<TrajRecord> out;
+  // One record promised, but the run also covers 8 bytes of the next.
+  uint64_t end = kStpqHeaderBytes + StpqRecordBytes(trajs[0]) + 8;
+  Status st = reader->ReadRecordsAt(kStpqHeaderBytes, end, 1, &out);
+  ASSERT_FALSE(st.ok());
+  EXPECT_EQ(st.code(), Status::Code::kCorruption);
+  // The exact run still reads: the reader survives a bad run.
+  out.clear();
+  ASSERT_TRUE(reader
+                  ->ReadRecordsAt(kStpqHeaderBytes,
+                                  kStpqHeaderBytes + StpqRecordBytes(trajs[0]),
+                                  1, &out)
+                  .ok());
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].points.size(), 3u);
+}
+
+TEST(StpqCorruptionTest, RangedAttrLengthPastRunEndIsCorruption) {
+  // attr_len stays plausible for the FILE (the next records are there) but
+  // points past the end of the run: the parse must stop at the run's end.
+  std::string dir = TempDir("rangeattr");
+  std::string path = dir + "/part.stpq";
+  auto events = SomeEvents(3);
+  ASSERT_TRUE(WriteStpqFile(path, events).ok());
+  std::string bytes = Slurp(path);
+  size_t len_at = kStpqHeaderBytes + 8 + 8 + 8 + 8;
+  uint32_t longer = 40;
+  std::memcpy(&bytes[len_at], &longer, sizeof(longer));
+  Dump(path, bytes);
+  auto reader = StpqReader::Open(path, kStpqKindEvent);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  std::vector<EventRecord> out;
+  Status st = reader->ReadRecordsAt(
+      kStpqHeaderBytes, kStpqHeaderBytes + StpqRecordBytes(events[0]), 1, &out);
+  ASSERT_FALSE(st.ok());
+  EXPECT_EQ(st.code(), Status::Code::kCorruption);
+}
+
+TEST(StpqCorruptionTest, RangedPointCountPastRunEndIsCorruption) {
+  std::string dir = TempDir("rangepoints");
+  std::string path = dir + "/part.stpq";
+  std::vector<TrajRecord> trajs = {SomeTraj(1, 2), SomeTraj(2, 6)};
+  ASSERT_TRUE(WriteStpqFile(path, trajs).ok());
+  std::string bytes = Slurp(path);
+  uint64_t more = 5;  // record 0 has 2 points; 5 reach into record 1
+  std::memcpy(&bytes[kStpqHeaderBytes + 8], &more, sizeof(more));
+  Dump(path, bytes);
+  auto reader = StpqReader::Open(path, kStpqKindTraj);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  std::vector<TrajRecord> out;
+  Status st = reader->ReadRecordsAt(
+      kStpqHeaderBytes, kStpqHeaderBytes + StpqRecordBytes(trajs[0]), 1, &out);
+  ASSERT_FALSE(st.ok());
+  EXPECT_EQ(st.code(), Status::Code::kCorruption);
+}
+
+TEST(StpqCorruptionTest, StpqTruncatedAfterSidecarBuildIsCleanError) {
+  std::string dir = TempDir("rangetrunc");
+  std::string path = dir + "/part.stpq";
+  auto events = SomeEvents(50);
+  ASSERT_TRUE(WriteStpqFile(path, events).ok());
+  ASSERT_TRUE(BuildStixForStpq(path, events).ok());
+  auto index = StixIndex::Open(StixPathFor(path), path);
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  auto reader = StpqReader::Open(path, kStpqKindEvent);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  uint64_t tail_start = index->RecordOffset(40);
+  uint64_t tail_end = index->RecordOffset(50);
+  fs::resize_file(path, tail_start + 5);
+
+  // Truncated under an open reader: the run's read comes up short.
+  std::vector<EventRecord> out;
+  Status st = reader->ReadRecordsAt(tail_start, tail_end, 10, &out);
+  ASSERT_FALSE(st.ok());
+  EXPECT_EQ(st.code(), Status::Code::kCorruption);
+  // A reader opened after the truncation rejects the sidecar's offsets...
+  auto fresh = StpqReader::Open(path, kStpqKindEvent);
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  out.clear();
+  st = fresh->ReadRecordsAt(tail_start, tail_end, 10, &out);
+  ASSERT_FALSE(st.ok());
+  EXPECT_EQ(st.code(), Status::Code::kCorruption);
+  // ...the sidecar itself no longer validates against its file...
+  auto stale = StixIndex::Open(StixPathFor(path), path);
+  ASSERT_FALSE(stale.ok());
+  EXPECT_EQ(stale.status().code(), Status::Code::kInvalidArgument);
+  // ...and the full reader reports the cut-off tail.
+  auto full = ReadStpqEvents(path);
+  ASSERT_FALSE(full.ok());
+  EXPECT_EQ(full.status().code(), Status::Code::kCorruption);
+}
+
 // ---- `.stix` sidecar: a damaged index must be rejected by Open's
 // validation (InvalidArgument), leaving the planner to fall back to a
 // linear scan of the intact .stpq. The full mutation matrix lives in
